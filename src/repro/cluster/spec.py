@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.core import costmodel as cm
 from repro.core.executor import flow_counts
+from repro.core.pipeline import relay_ratios
 
 
 @dataclass(frozen=True)
@@ -117,12 +118,12 @@ def measure_spec(bundle, costs: cm.QueryCosts, offered_mbps: float) -> WorkloadS
     """Measure relay ratios and output size from a real Spark execution.
 
     ``bundle`` is a :class:`repro.workloads.queries.QueryBundle`; the
-    pipeline runs once over the synthetic trace, and group cardinality /
+    pipeline runs once over the synthetic trace (one pass of
+    :meth:`~repro.core.pipeline.Pipeline.stage_counts`), and group cardinality /
     selectivity feed the simulator — the paper's Profile phase, done
     offline and exactly.
     """
-    relay = bundle.pipeline.measure_relay_ratios(bundle.input_df)
-    n_in = bundle.input_df.count()
-    n_out = bundle.pipeline.apply_full(bundle.input_df).count()
+    counts = bundle.pipeline.stage_counts(bundle.input_df)
+    n_in, n_out = counts[0], counts[-1]
     out_bpr = costs.output_bytes * n_out / max(n_in, 1)
-    return spec_from_costs(costs, relay, out_bpr, offered_mbps)
+    return spec_from_costs(costs, relay_ratios(counts), out_bpr, offered_mbps)

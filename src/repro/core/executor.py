@@ -232,7 +232,7 @@ class SparkEpochExecutor:
             drained_bytes=drained_bytes(
                 run, self.pipeline, drain_overhead=self.drain_overhead
             ),
-            output_rows=float(run.result.count()),
+            output_rows=float(run.output_rows),
         )
 
     def profile(self) -> tuple[ProfileEstimates, EpochObservation]:
@@ -246,26 +246,17 @@ class SparkEpochExecutor:
         win = self._next_window().cache()
         M = self.pipeline.n_ops
         share_s = self.budget_core * self.epoch_s / M
+        # Operator inputs in one pass; a sample of k <= n_in records
+        # holds exactly k, so only the sample outputs need counting.
+        n_in = self.pipeline.stage_counts(win)
         cur = win
         relays: list[float] = []
-        n_in = cur.count()
-        for i, op in enumerate(self.pipeline.stateless_prefix):
-            afford = int(share_s / (self.pipeline.cost_us[i] * 1e-6)) if self.pipeline.cost_us[i] > 0 else n_in
-            sample = cur.limit(min(n_in, max(afford, 1)))
-            n_s = sample.count()
-            out = op.apply(sample)
-            n_o = out.count()
-            relays.append(min(1.0, n_o / n_s) if n_s else 1.0)
+        for i, op in enumerate(self.pipeline.ops):
+            cost = self.pipeline.cost_us[i]
+            afford = int(share_s / (cost * 1e-6)) if cost > 0 else n_in[i]
+            n_s = min(n_in[i], max(afford, 1))
+            relays.append(min(1.0, op.apply(cur.limit(n_s)).count() / n_s) if n_s else 1.0)
             cur = op.apply(cur)
-            n_in = cur.count()
-        gr = self.pipeline.terminal_group_reduce
-        if gr is not None:
-            i = M - 1
-            afford = int(share_s / (self.pipeline.cost_us[i] * 1e-6)) if self.pipeline.cost_us[i] > 0 else n_in
-            sample = cur.limit(min(n_in, max(afford, 1)))
-            n_s = sample.count()
-            n_o = gr.apply(sample).count()
-            relays.append(min(1.0, n_o / n_s) if n_s else 1.0)
         win.unpersist()
         est = ProfileEstimates(
             cost_us=self.pipeline.cost_us.copy(),

@@ -180,9 +180,13 @@ class GroupReduce(Operator):
                 cols.append(F.count(spec.col).alias(f"__{out}_cnt"))
         return cols
 
-    def partial(self, df: DataFrame) -> DataFrame:
-        """Partial (mergeable) aggregates of ``df`` per group."""
-        return df.groupBy(*self.keys).agg(*self._partial_exprs())
+    def partial(self, df: DataFrame, *extra_keys: str) -> DataFrame:
+        """Partial (mergeable) aggregates of ``df`` per group.
+
+        ``extra_keys`` split each group further (e.g. by the side that
+        computed it); ``merge`` ignores them.
+        """
+        return df.groupBy(*self.keys, *extra_keys).agg(*self._partial_exprs())
 
     def merge(self, partials: DataFrame) -> DataFrame:
         """Merge partial-aggregate rows into the final query output."""

@@ -8,31 +8,52 @@ operator and **drains** the rest to the stream processor, where a
 replicated copy of the remaining pipeline finishes the work.  Partial
 aggregates from both sides merge into the final result.
 
-Mapping to Spark (per the reproduction hint): data sources are stream
-partitions; source-side operators are narrow, pre-shuffle
-transformations; the drain paths and the final merge are the shuffle.
-For *any* ``p`` the merged output equals the unpartitioned query — the
-oracle tests pin this invariant.
+Proxy ``i`` keeps a record when the bucket of
+``xxhash64(record_id, i, seed)`` lies below ``p_i`` (:func:`hash_sample`),
+so runs are deterministic and the per-stage splits are mutually
+independent.  Every stateless operator carries ``record_id`` through,
+so a record's fate at every proxy can be evaluated anywhere in the
+plan, and the plan is one linear pass:
 
-Record splitting hashes ``record_id`` with the proxy index and a seed
-(``xxhash64``), so runs are deterministic and the per-stage splits are
-mutually independent.
+* **One pass.** The stateless prefix runs once over the whole window.
+  A stateless operator gives the same output on the source as on the
+  stream processor's replica, so the two shares need no branches.
+* **Observed counters.** An :class:`~pyspark.sql.Observation` at proxy
+  ``i``'s input counts ``taken = reached_i & keep_i`` and
+  ``drained = reached_i & ~keep_i``, where ``reached_i`` means "kept by
+  proxies ``0..i-1``": the record is still on the source.
+* **Side-keyed partial.** The terminal G+R groups its partial aggregate
+  by its keys plus a side column (source when every proxy kept the
+  record). That yields exactly the source's and the stream processor's
+  partial rows; an observation counts the source's, and ``merge``
+  combines both sides.
+* **One action.** ``run_partitioned`` counts the merged result; the
+  counters come from the observations of that same pass.
+
+Mapping to Spark: data sources are stream partitions; source-side
+operators are narrow, pre-shuffle transformations; the partial
+aggregate's exchange and the final merge are the shuffle.  For *any*
+``p`` the merged output equals the unpartitioned query — the oracle
+tests pin this invariant.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.observe import observe_counts
 from repro.core.operators import RECORD_ID
 from repro.core.pipeline import Pipeline
 
 #: Hash-bucket resolution for load-factor splits (1e6 buckets ≈ 1e-6 p
 #: granularity, far finer than the runtime's 1/16 grid).
-_BUCKETS = 1_000_000
+HASH_BUCKETS = 1_000_000
+
+#: Side column of the terminal G+R partial: true for source-side rows.
+_SOURCE_SIDE = "__source_side"
 
 
 @dataclass(frozen=True)
@@ -45,20 +66,25 @@ class PartitionedRun:
         drained_counts: records drained at each proxy (index = operator).
         source_partial_rows: partial-aggregate rows shipped by the source
             (0 when the pipeline has no terminal G+R or ``p_M`` = 0).
-        sp_input_counts: records entering each SP-side replicated operator.
+        output_rows: rows of ``result``, counted by the run's one action.
     """
 
     result: DataFrame
     taken_counts: tuple[int, ...]
     drained_counts: tuple[int, ...]
     source_partial_rows: int
-    sp_input_counts: tuple[int, ...]
+    output_rows: int
 
 
-def _split_cond(stage: int, p: float, seed: int):
-    """Deterministic Bernoulli(p) split on ``record_id`` for one proxy."""
-    h = F.xxhash64(F.col(RECORD_ID), F.lit(stage), F.lit(seed))
-    return F.pmod(h, F.lit(_BUCKETS)) < F.lit(int(round(p * _BUCKETS)))
+def hash_sample(p: float, *salt: int) -> Column:
+    """Deterministic Bernoulli(p) predicate on ``record_id``.
+
+    True when ``pmod(xxhash64(record_id, *salt), HASH_BUCKETS)`` lies
+    below ``p``'s share of the buckets. Proxy ``i`` salts with
+    ``(i, seed)``; the WSP synopsis with ``(seed,)``.
+    """
+    h = F.xxhash64(F.col(RECORD_ID), *(F.lit(s) for s in salt))
+    return F.pmod(h, F.lit(HASH_BUCKETS)) < F.lit(int(round(p * HASH_BUCKETS)))
 
 
 def run_partitioned(
@@ -67,9 +93,11 @@ def run_partitioned(
     p: np.ndarray | list[float],
     *,
     seed: int = 0,
-    collect_metrics: bool = True,
 ) -> PartitionedRun:
     """Execute ``pipeline`` on ``df`` under load-factor vector ``p``.
+
+    Runs one Spark action (the count of the merged result); every proxy
+    counter is observed in that pass.
 
     Args:
         df: one window (or epoch) of input records; must carry
@@ -78,9 +106,6 @@ def run_partitioned(
         p: load factor per operator, each in [0, 1]. ``p=1`` everywhere
             is All-Src; ``p=0`` everywhere is All-SP.
         seed: split seed — different seeds re-randomize proxy splits.
-        collect_metrics: when False, skip the ``count()`` actions and
-            return -1 counts (cheaper for benchmarks that only need the
-            result or a single aggregate action).
 
     Returns:
         PartitionedRun with the merged result and drain accounting.
@@ -96,74 +121,34 @@ def run_partitioned(
     if RECORD_ID not in df.columns:
         raise ValueError(f"input must carry a '{RECORD_ID}' column")
 
-    prefix = pipeline.stateless_prefix
     gr = pipeline.terminal_group_reduce
+    readers = []
+    reached = F.lit(True)  # still on the source: kept by every proxy so far
+    cur = df
+    for i, op in enumerate(pipeline.ops):
+        keep = hash_sample(float(p[i]), i, seed)
+        cur, read = observe_counts(cur, taken=reached & keep, drained=reached & ~keep)
+        readers.append(read)
+        reached = reached & keep
+        if op is not gr:
+            cur = op.apply(cur)
 
-    # --- source side: split at every proxy, process the taken share ---------
-    drains: list[tuple[int, DataFrame]] = []  # (stage idx, records to finish)
-    local = df
-    for i, op in enumerate(prefix):
-        cond = _split_cond(i, float(p[i]), seed)
-        drains.append((i, local.filter(~cond)))
-        local = op.apply(local.filter(cond))
-
-    source_partial: DataFrame | None = None
-    if gr is not None:
-        i = pipeline.n_ops - 1
-        cond = _split_cond(i, float(p[i]), seed)
-        drains.append((i, local.filter(~cond)))
-        source_partial = gr.partial(local.filter(cond))
-        local = None  # terminal: nothing flows past G+R on the source
-
-    # --- stream processor side: finish each drained stream -------------------
-    # A drain at stage i replays operators i..end on the SP replica. All
-    # drain paths that reach the terminal G+R are unioned first so the SP
-    # computes one partial aggregate over its whole share.
-    sp_inputs: list[DataFrame] = []
-    for stage, ddf in drains[: len(prefix) + (0 if gr is None else 1)]:
-        cur = ddf
-        for j in range(stage, len(prefix)):
-            cur = prefix[j].apply(cur)
-        sp_inputs.append(cur)
-
-    if gr is not None:
-        assert source_partial is not None
-        sp_union = reduce(DataFrame.unionByName, sp_inputs)
-        sp_partial = gr.partial(sp_union)
-        result = gr.merge(source_partial.unionByName(sp_partial))
+    if gr is None:
+        # Pure stateless pipeline: the final records are the prefix output.
+        result, read_partial = cur, None
     else:
-        # Pure stateless pipeline: final records are the union of the
-        # source-processed share and every SP-finished drain path.
-        parts = sp_inputs + ([local] if local is not None else [])
-        result = reduce(DataFrame.unionByName, parts)
+        partial = gr.partial(cur.withColumn(_SOURCE_SIDE, reached), _SOURCE_SIDE)
+        partial, read_partial = observe_counts(partial, source=F.col(_SOURCE_SIDE))
+        result = gr.merge(partial)
 
-    # --- metrics --------------------------------------------------------------
-    if collect_metrics:
-        drained_counts = tuple(int(d.count()) for _, d in drains)
-        # Taken records per op: input to op minus drained at its proxy.
-        taken: list[int] = []
-        inputs = df
-        for i, op in enumerate(prefix):
-            n_in = int(inputs.count())
-            taken.append(n_in - drained_counts[i])
-            inputs = op.apply(inputs.filter(_split_cond(i, float(p[i]), seed)))
-        if gr is not None:
-            n_in = int(inputs.count())
-            taken.append(n_in - drained_counts[-1])
-        sp_counts = tuple(int(s.count()) for s in sp_inputs)
-        n_partial = int(source_partial.count()) if source_partial is not None else 0
-    else:
-        drained_counts = tuple([-1] * pipeline.n_ops)
-        taken = [-1] * pipeline.n_ops
-        sp_counts = tuple([-1] * len(sp_inputs))
-        n_partial = -1
-
+    output_rows = int(result.count())
+    counts = [read() for read in readers]
     return PartitionedRun(
         result=result,
-        taken_counts=tuple(taken),
-        drained_counts=drained_counts,
-        source_partial_rows=n_partial,
-        sp_input_counts=sp_counts,
+        taken_counts=tuple(c["taken"] for c in counts),
+        drained_counts=tuple(c["drained"] for c in counts),
+        source_partial_rows=read_partial()["source"] if read_partial else 0,
+        output_rows=output_rows,
     )
 
 

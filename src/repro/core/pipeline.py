@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
+from repro.core.observe import observe_counts
 from repro.core.operators import (
     GroupReduce,
     Operator,
@@ -95,25 +97,41 @@ class Pipeline:
             cur = gr.apply(cur)
         return cur
 
+    def stage_counts(self, df: DataFrame) -> tuple[int, ...]:
+        """Records entering each operator, then the output rows, in one pass.
+
+        ``counts[i]`` is the input of operator ``i`` and ``counts[-1]``
+        the pipeline's output. The output count is the only action; the
+        operator inputs are observed on the way.
+        """
+        readers = []
+        cur = df
+        for op in self.ops:
+            cur, read = observe_counts(cur, n=F.lit(True))
+            readers.append(read)
+            cur = op.apply(cur)
+        n_out = int(cur.count())
+        return tuple(read()["n"] for read in readers) + (n_out,)
+
     def measure_relay_ratios(self, df: DataFrame) -> np.ndarray:
         """Record-count relay ratio ``r_i`` per operator, measured on data.
 
-        Runs the pipeline once, counting records at each stage boundary.
-        For the terminal G+R the ratio is output groups / input records
-        — data-dependent, exactly what the paper's Profile phase
-        estimates online.  Ratios are clipped to [0, 1] (a window's group
-        count cannot exceed its record count, but empty inputs yield 0/0
-        which is mapped to 1).
+        Runs the pipeline once, counting records at each stage boundary
+        (:meth:`stage_counts`); see :func:`relay_ratios`.
         """
-        counts = [df.count()]
-        cur = df
-        for op in self.stateless_prefix:
-            cur = op.apply(cur)
-            counts.append(cur.count())
-        gr = self.terminal_group_reduce
-        if gr is not None:
-            counts.append(gr.apply(cur).count())
-        counts_arr = np.array(counts, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(counts_arr[:-1] > 0, counts_arr[1:] / counts_arr[:-1], 1.0)
-        return np.clip(r, 0.0, 1.0)
+        return relay_ratios(self.stage_counts(df))
+
+
+def relay_ratios(counts: tuple[int, ...]) -> np.ndarray:
+    """Relay ratio per operator from :meth:`Pipeline.stage_counts`.
+
+    For the terminal G+R the ratio is output groups / input records —
+    data-dependent, exactly what the paper's Profile phase estimates
+    online.  Ratios are clipped to [0, 1] (a window's group count cannot
+    exceed its record count, but empty inputs yield 0/0 which is mapped
+    to 1).
+    """
+    counts_arr = np.array(counts, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(counts_arr[:-1] > 0, counts_arr[1:] / counts_arr[:-1], 1.0)
+    return np.clip(r, 0.0, 1.0)

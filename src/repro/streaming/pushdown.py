@@ -32,7 +32,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core import costmodel as cm
-from repro.core.partition_exec import _split_cond, drained_bytes, run_partitioned
+from repro.core.partition_exec import drained_bytes, hash_sample, run_partitioned
 from repro.core.pipeline import Pipeline
 from repro.core.proxy import EpochObservation, QueryState, classify_query
 from repro.core.runtime import JarvisRuntime
@@ -60,7 +60,7 @@ def build_partitioned_stream(
     paths: list[DataFrame] = []
     local = stream_df
     for i, op in enumerate(prefix):
-        cond = _split_cond(i, float(p[i]), seed)
+        cond = hash_sample(float(p[i]), i, seed)
         drain = local.filter(~cond)
         # The drain path finishes the remaining stateless prefix on the
         # SP replica; in streaming terms it is still narrow work.
@@ -128,7 +128,7 @@ class _BatchExecutor:
             idle_frac=np.full(len(p), 1.0 - util),
             compute_used=min(demand_s, budget_s),
             drained_bytes=drained_bytes(run, self.pipeline),
-            output_rows=float(run.result.count()),
+            output_rows=float(run.output_rows),
         )
 
     def profile(self):

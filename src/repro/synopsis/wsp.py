@@ -24,18 +24,17 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.partition_exec import hash_sample
+
 #: Alert threshold: "probe latencies exceeding a threshold such as 5 ms".
 ALERT_THRESHOLD_US = 5_000.0
-
-_BUCKETS = 1_000_000
 
 
 def wsp_sample(df: DataFrame, rate: float, *, seed: int = 0) -> DataFrame:
     """Deterministic Bernoulli(rate) sample of a probe stream."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("sampling rate must lie in [0, 1]")
-    h = F.pmod(F.xxhash64(F.col("record_id"), F.lit(seed)), F.lit(_BUCKETS))
-    return df.filter(h < F.lit(int(round(rate * _BUCKETS))))
+    return df.filter(hash_sample(rate, seed))
 
 
 def _pair_max(df: DataFrame, out: str) -> DataFrame:

@@ -7,10 +7,15 @@
 This is the paper's accuracy claim versus data synopses (§VI-D): query
 partitioning reduces network traffic *without* touching the result.
 """
+import time
+import uuid
+
 import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core.partition_exec import drained_bytes, run_partitioned
+from repro.core.pipeline import Pipeline
 from repro.oracle import assert_equivalent
 from repro.workloads.queries import log_query, s2s_query, t2t_query
 
@@ -102,14 +107,6 @@ class TestOracleEquivalenceLog:
 
 
 class TestAccounting:
-    def test_counts_conserve_records(self, s2s):
-        n = s2s.input_df.count()
-        run = run_partitioned(s2s.input_df, s2s.pipeline, np.array([0.5, 0.7, 0.3]))
-        # Proxy 0 splits the whole input.
-        assert run.taken_counts[0] + run.drained_counts[0] == n
-        # Everything drained eventually reaches an SP-side operator.
-        assert sum(run.sp_input_counts) >= max(run.drained_counts)
-
     def test_all_src_drains_nothing(self, s2s):
         run = run_partitioned(s2s.input_df, s2s.pipeline, np.ones(3))
         assert run.drained_counts == (0, 0, 0)
@@ -140,13 +137,6 @@ class TestAccounting:
         b = run_partitioned(s2s.input_df, s2s.pipeline, p, seed=9)
         assert a.taken_counts == b.taken_counts
         assert a.drained_counts == b.drained_counts
-
-    def test_collect_metrics_false_skips_counts(self, s2s):
-        run = run_partitioned(
-            s2s.input_df, s2s.pipeline, np.ones(3), collect_metrics=False
-        )
-        assert run.taken_counts == (-1, -1, -1)
-        assert run.result.count() > 0
 
     def test_drained_bytes_overhead(self, s2s):
         run = run_partitioned(s2s.input_df, s2s.pipeline, np.array([1.0, 1.0, 0.0]))
@@ -191,3 +181,154 @@ class TestDataLevelVsOperatorLevel:
         assert drained_bytes(data_level, s2s.pipeline) < drained_bytes(
             op_level, s2s.pipeline
         )
+
+
+# --------------------------------------------------------------------------
+# Counters: pinned against branch-per-proxy counting, one action per run
+# --------------------------------------------------------------------------
+def branch_counts(df, pipeline, p, seed):
+    """Reference counters from one filtered branch per proxy.
+
+    The straightforward plan: walk the source side proxy by proxy,
+    counting with separate ``count()`` actions the records that reach
+    each proxy and the share it drains, then the source's partial
+    aggregate rows. The split predicate is spelled out here rather than
+    shared, so a change to the hash would show.
+
+    Returns (reached, drained, source_partial_rows).
+    """
+    def keep(i):
+        h = F.xxhash64(F.col("record_id"), F.lit(i), F.lit(seed))
+        return F.pmod(h, F.lit(1_000_000)) < F.lit(int(round(p[i] * 1_000_000)))
+
+    reached, drained = [], []
+    local = df
+    for i, op in enumerate(pipeline.ops):
+        reached.append(local.count())
+        drained.append(local.filter(~keep(i)).count())
+        local = local.filter(keep(i))
+        if op is not pipeline.terminal_group_reduce:
+            local = op.apply(local)
+    gr = pipeline.terminal_group_reduce
+    partial_rows = gr.partial(local).count() if gr is not None else 0
+    return tuple(reached), tuple(drained), partial_rows
+
+
+def count_jobs(spark, fn):
+    """Run ``fn`` in a fresh job group; return (its result, Spark jobs run)."""
+    sc = spark.sparkContext
+    group = f"test-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, group)
+    try:
+        out = fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    tracker = sc.statusTracker()
+    # The status store is fed by an asynchronous listener: re-read until
+    # two reads agree.
+    prev = None
+    for _ in range(200):
+        n = len(tracker.getJobIdsForGroup(group))
+        if n == prev:
+            return out, n
+        prev = n
+        time.sleep(0.05)
+    raise RuntimeError(f"job count of group {group} never settled")
+
+
+def _load_factors(kind, n_ops, seed):
+    if kind == "zero":
+        return np.zeros(n_ops)
+    if kind == "one":
+        return np.ones(n_ops)
+    if kind == "graded":
+        return np.linspace(0.9, 0.3, n_ops)
+    return np.random.default_rng(seed).uniform(size=n_ops)
+
+
+class TestCounterPinning:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("kind", ["zero", "one", "graded", "random"])
+    @pytest.mark.parametrize("query", ["s2s", "t2t", "logq"])
+    def test_counters_match_branch_counting(self, request, query, kind, seed):
+        b = request.getfixturevalue(query)
+        p = _load_factors(kind, b.pipeline.n_ops, seed)
+        run = run_partitioned(b.input_df, b.pipeline, p, seed=seed)
+        reached, drained, partial_rows = branch_counts(b.input_df, b.pipeline, p, seed)
+        assert run.drained_counts == drained
+        assert tuple(t + d for t, d in zip(run.taken_counts, run.drained_counts)) == reached
+        assert run.source_partial_rows == partial_rows
+        assert run.output_rows == b.pipeline.apply_full(b.input_df).count()
+
+    def test_stateless_pipeline(self, s2s):
+        """Without a G+R the result is the prefix output, split or not."""
+        pl = Pipeline(name="wf", ops=s2s.pipeline.ops[:2])
+        p = np.array([0.7, 0.4])
+        run = run_partitioned(s2s.input_df, pl, p, seed=3)
+        reached, drained, _ = branch_counts(s2s.input_df, pl, p, 3)
+        assert run.drained_counts == drained
+        assert tuple(t + d for t, d in zip(run.taken_counts, run.drained_counts)) == reached
+        assert run.source_partial_rows == 0
+        ids = sorted(r[0] for r in run.result.select("record_id").collect())
+        assert ids == sorted(r[0] for r in pl.apply_full(s2s.input_df).select("record_id").collect())
+        assert run.output_rows == len(ids)
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize("query", ["s2s", "t2t", "logq"])
+    def test_run_is_one_count_of_its_plan(self, spark, request, query):
+        """The counters add no job: a whole run costs at most what one
+        more count of its result costs."""
+        b = request.getfixturevalue(query)
+        p = np.linspace(0.9, 0.3, b.pipeline.n_ops)
+        run, run_jobs = count_jobs(spark, lambda: run_partitioned(b.input_df, b.pipeline, p))
+        _, read_jobs = count_jobs(spark, lambda: (run.taken_counts, run.drained_counts, run.source_partial_rows))
+        rows, count_jobs_ = count_jobs(spark, run.result.count)
+        assert read_jobs == 0
+        assert run.output_rows == rows
+        assert 0 < run_jobs <= count_jobs_
+
+    @pytest.mark.parametrize("query", ["s2s", "t2t"])
+    def test_stage_counts_is_one_count_of_the_query(self, spark, request, query):
+        b = request.getfixturevalue(query)
+        counts, jobs = count_jobs(spark, lambda: b.pipeline.stage_counts(b.input_df))
+        n_out, full_jobs = count_jobs(spark, b.pipeline.apply_full(b.input_df).count)
+        assert counts[-1] == n_out
+        assert 0 < jobs <= full_jobs
+
+
+# --------------------------------------------------------------------------
+# Degenerate windows: empty, filtered to nothing, every row fails F
+# --------------------------------------------------------------------------
+def _degenerate(spark, s2s, kind):
+    if kind == "empty":
+        return spark.createDataFrame([], s2s.input_df.schema)
+    if kind == "filtered_to_nothing":
+        return s2s.input_df.filter("record_id < 0")
+    return s2s.input_df.withColumn("err_code", F.lit(1))
+
+
+class TestDegenerateWindows:
+    @pytest.mark.parametrize("p", [0.0, 1.0, 0.5])
+    @pytest.mark.parametrize("kind", ["empty", "filtered_to_nothing", "all_fail_filter"])
+    def test_run_partitioned(self, spark, s2s, kind, p):
+        df = _degenerate(spark, s2s, kind)
+        load = np.full(3, p)
+        run = run_partitioned(df, s2s.pipeline, load)
+        reached, drained, partial_rows = branch_counts(df, s2s.pipeline, load, 0)
+        assert run.output_rows == 0
+        assert run.result.count() == 0
+        assert run.drained_counts == drained
+        assert tuple(t + d for t, d in zip(run.taken_counts, run.drained_counts)) == reached
+        # Nothing reaches the G+R, so its proxy and the partial count zero.
+        assert (run.taken_counts[2], run.drained_counts[2], run.source_partial_rows) == (0, 0, 0)
+        assert partial_rows == 0
+        if kind != "all_fail_filter":
+            assert run.taken_counts == run.drained_counts == (0, 0, 0)
+
+    @pytest.mark.parametrize("kind", ["empty", "filtered_to_nothing", "all_fail_filter"])
+    def test_stage_counts(self, spark, s2s, kind):
+        df = _degenerate(spark, s2s, kind)
+        n = df.count()
+        assert s2s.pipeline.stage_counts(df) == (n, n, 0, 0)
+        assert s2s.pipeline.measure_relay_ratios(df) == pytest.approx([1.0, 0.0 if n else 1.0, 1.0])
