@@ -76,8 +76,9 @@ class WorkloadSpec:
         p = np.asarray(p, dtype=float)
         rps = self.records_per_sec(x_mbps)
         _, _, drained = flow_counts(rps, p, self.relay)
-        oh = np.where(np.arange(len(p)) == 0, 1.0, 1.0 if bulk_boundary else drain_overhead)
-        bytes_per_sec = float(np.sum(drained * self.stage_bytes * oh))
+        bytes_per_sec = cm.drain_bytes(
+            drained, self.stage_bytes, 1.0 if bulk_boundary else drain_overhead
+        )
         if p[-1] > 0:
             bytes_per_sec += self.output_bytes_per_record * rps
         return bytes_per_sec * 8.0 / 1e6
@@ -100,14 +101,25 @@ class WorkloadSpec:
 
 
 # --------------------------------------------------------------------------
+def _frozen(values) -> np.ndarray:
+    a = np.array(values, dtype=float)  # always a copy, never a view
+    a.flags.writeable = False
+    return a
+
+
 def spec_from_costs(costs: cm.QueryCosts, relay: np.ndarray,
                     output_bytes_per_record: float, offered_mbps: float) -> WorkloadSpec:
-    """Assemble a spec from calibrated costs + measured data quantities."""
+    """Assemble a spec from calibrated costs + measured data quantities.
+
+    The arrays are read-only copies: a spec may be shared by every
+    caller (``repro.experiments.specs`` measures each one once per
+    session), so an in-place write must fail rather than corrupt it.
+    """
     return WorkloadSpec(
         name=costs.name,
-        cost_us=np.asarray(costs.cost_us, dtype=float),
-        relay=np.asarray(relay, dtype=float),
-        stage_bytes=np.asarray(costs.stage_bytes, dtype=float),
+        cost_us=_frozen(costs.cost_us),
+        relay=_frozen(relay),
+        stage_bytes=_frozen(costs.stage_bytes),
         record_bytes=float(costs.stage_bytes[0]),
         output_bytes_per_record=output_bytes_per_record,
         offered_mbps=offered_mbps,

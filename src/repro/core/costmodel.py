@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 # --- Record sizes (paper §II-B / §VI-A) -------------------------------------
 PROBE_RECORD_BYTES = 86  # "A record is 86B in size" (Pingmesh)
 LOG_LINE_BYTES = 128  # ~0.62 MBps/server at the reported per-line content
@@ -66,6 +68,20 @@ def join_cost_us(table_size: int) -> float:
     must push a previously-stable plan into congestion (Fig. 8b).
     """
     return 39.0 * (1.0 + 0.25 * math.log10(max(table_size, 1) / 500.0))
+
+
+def drain_bytes(counts, stage_bytes, drain_overhead: float) -> float:
+    """Network bytes of ``counts[i]`` records drained at each proxy ``i``.
+
+    Stage-0 drains are bulk forwards (no per-record framing); deeper
+    drains pay ``drain_overhead`` (``DRAIN_OVERHEAD``: Kryo framing, the
+    target-operator id and replicated watermarks, paper §V).  Every
+    executor, the partitioned-window accounting and the simulator's
+    traffic model bill drains through this one rule.
+    """
+    counts = np.asarray(counts, dtype=float)
+    oh = np.where(np.arange(len(counts)) == 0, 1.0, drain_overhead)
+    return float(np.sum(counts * np.asarray(stage_bytes, dtype=float) * oh))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 from pyspark.sql import DataFrame
 
 from repro.core import costmodel as cm
-from repro.core.partition_exec import drained_bytes, run_partitioned
+from repro.core.partition_exec import run_partitioned
 from repro.core.pipeline import Pipeline
 from repro.core.proxy import EpochObservation
 
@@ -56,6 +56,51 @@ def flow_counts(n_records: float, p: np.ndarray, relay: np.ndarray) -> tuple[np.
         drained[i] = cur - forwarded[i]
         cur = forwarded[i] * relay[i]
     return arrived, forwarded, drained
+
+
+def account_epoch(
+    arrived: np.ndarray,
+    forwarded: np.ndarray,
+    drained: np.ndarray,
+    cost_us: np.ndarray,
+    stage_bytes: np.ndarray,
+    budget_s: float,
+    drain_overhead: float,
+    *,
+    output_bytes: float = 0.0,
+    output_rows: float = 0.0,
+) -> EpochObservation:
+    """Bill one epoch's record flow against its compute budget.
+
+    ``forwarded``/``drained`` are the proxies' planned routing. When the
+    forwarded records need more than ``budget_s`` core-seconds, each
+    operator completes a proportional share; the rest is pending and
+    force-drained by its proxy, so it ships like a planned drain
+    (``costmodel.drain_bytes``). ``output_bytes`` (final aggregates)
+    adds to the network bytes, not to the drains.
+    """
+    demand_s = float(np.sum(forwarded * cost_us)) * 1e-6
+    if demand_s <= budget_s or demand_s == 0.0:
+        processed = forwarded.copy()
+    else:
+        processed = forwarded * (budget_s / demand_s)
+    pending = forwarded - processed
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pending_frac = np.where(forwarded > 0, pending / forwarded, 0.0)
+    util = min(1.0, demand_s / budget_s) if budget_s > 0 else 1.0
+    total_drained = drained + pending
+    return EpochObservation(
+        arrived=arrived,
+        forwarded=forwarded,
+        processed=processed,
+        drained=total_drained,
+        pending_frac=pending_frac,
+        idle_frac=np.full(len(forwarded), 1.0 - util),
+        compute_used=min(demand_s, budget_s),
+        drained_bytes=cm.drain_bytes(total_drained, stage_bytes, drain_overhead)
+        + output_bytes,
+        output_rows=output_rows,
+    )
 
 
 @dataclass
@@ -97,38 +142,10 @@ class SimulatedEpochExecutor:
         arrived, forwarded, drained = flow_counts(
             self.records_per_epoch, p, self.relay
         )
-        demand_s = float(np.sum(forwarded * self.cost_us)) * 1e-6
-        budget_s = self.budget_core * self.epoch_s
-        if demand_s <= budget_s or demand_s == 0.0:
-            processed = forwarded.copy()
-            scale = 1.0
-        else:
-            # Budget exhausted: each operator completes a proportional
-            # share; the rest is pending and force-drained by the proxy.
-            scale = budget_s / demand_s
-            processed = forwarded * scale
-        pending = forwarded - processed
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pending_frac = np.where(forwarded > 0, pending / forwarded, 0.0)
-        util = min(1.0, demand_s / budget_s) if budget_s > 0 else 1.0
-        idle_frac = np.full(len(p), 1.0 - util)
-        total_drained = drained + pending
-        dbytes = float(
-            np.sum(
-                total_drained
-                * self.stage_bytes
-                * np.where(np.arange(len(p)) == 0, 1.0, self.drain_overhead)
-            )
-        )
-        return EpochObservation(
-            arrived=arrived,
-            forwarded=forwarded,
-            processed=processed,
-            drained=total_drained,
-            pending_frac=pending_frac,
-            idle_frac=idle_frac,
-            compute_used=min(demand_s, budget_s),
-            drained_bytes=dbytes + self.output_bytes_per_epoch,
+        return account_epoch(
+            arrived, forwarded, drained, self.cost_us, self.stage_bytes,
+            self.budget_core * self.epoch_s, self.drain_overhead,
+            output_bytes=self.output_bytes_per_epoch,
         )
 
     def profile(self) -> tuple[ProfileEstimates, EpochObservation]:
@@ -210,29 +227,10 @@ class SparkEpochExecutor:
         run = run_partitioned(win, self.pipeline, p, seed=self.seed + self._epoch_no)
         forwarded = np.array(run.taken_counts, dtype=float)
         drained = np.array(run.drained_counts, dtype=float)
-        arrived = forwarded + drained
-        demand_s = float(np.sum(forwarded * self.pipeline.cost_us)) * 1e-6
-        budget_s = self.budget_core * self.epoch_s
-        if demand_s <= budget_s or demand_s == 0:
-            processed = forwarded.copy()
-        else:
-            processed = forwarded * (budget_s / demand_s)
-        pending = forwarded - processed
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pending_frac = np.where(forwarded > 0, pending / forwarded, 0.0)
-        util = min(1.0, demand_s / budget_s) if budget_s > 0 else 1.0
-        return EpochObservation(
-            arrived=arrived,
-            forwarded=forwarded,
-            processed=processed,
-            drained=drained + pending,
-            pending_frac=pending_frac,
-            idle_frac=np.full(len(p), 1.0 - util),
-            compute_used=min(demand_s, budget_s),
-            drained_bytes=drained_bytes(
-                run, self.pipeline, drain_overhead=self.drain_overhead
-            ),
-            output_rows=float(run.output_rows),
+        return account_epoch(
+            forwarded + drained, forwarded, drained, self.pipeline.cost_us,
+            self.pipeline.stage_bytes, self.budget_core * self.epoch_s,
+            self.drain_overhead, output_rows=float(run.output_rows),
         )
 
     def profile(self) -> tuple[ProfileEstimates, EpochObservation]:

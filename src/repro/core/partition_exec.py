@@ -44,6 +44,7 @@ import numpy as np
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
+from repro.core import costmodel as cm
 from repro.core.observe import observe_counts
 from repro.core.operators import RECORD_ID
 from repro.core.pipeline import Pipeline
@@ -155,15 +156,6 @@ def run_partitioned(
 def drained_bytes(
     run: PartitionedRun, pipeline: Pipeline, *, drain_overhead: float = 1.0
 ) -> float:
-    """Network bytes shipped by the drain paths of one window.
-
-    Stage-0 drains are bulk forwards (no per-record framing); deeper
-    drains pay ``drain_overhead`` for Kryo framing, the target-operator
-    id and replicated watermarks (paper §V).
-    """
-    sizes = pipeline.stage_bytes
-    total = 0.0
-    for i, n in enumerate(run.drained_counts):
-        oh = 1.0 if i == 0 else drain_overhead
-        total += n * sizes[i] * oh
-    return total
+    """Network bytes shipped by the drain paths of one window
+    (``costmodel.drain_bytes`` of its drained counts)."""
+    return cm.drain_bytes(run.drained_counts, pipeline.stage_bytes, drain_overhead)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.lp.simplex import LPError, linprog
+from repro.lp.simplex import linprog
 
 _EPS = 1e-9
 
@@ -125,12 +125,8 @@ def solve_plan(
     for i in range(1, M):
         A_ub[1 + i, i] = 1.0
         A_ub[1 + i, i - 1] = -1.0
-    try:
-        res = linprog(obj, A_ub=A_ub, b_ub=b_ub)
-    except LPError:
-        # Budget 0 with zero-cost prefix could in principle still be
-        # feasible (e = 0 always is), so LPError here is a genuine bug.
-        raise
+    # e = 0 is always feasible, so an LPError from linprog is a genuine bug.
+    res = linprog(obj, A_ub=A_ub, b_ub=b_ub)
     e = np.clip(res.x, 0.0, 1.0)
     # Enforce monotonicity against round-off.
     for i in range(1, M):

@@ -21,6 +21,30 @@ def s2s():
     return spec_from_costs(cm.s2s_costs(), np.array([1.0, 0.86, 0.03]), 0.12, 26.2)
 
 
+class TestReadOnlySpec:
+    """Specs are shared between tables, so their arrays are read-only copies."""
+
+    def test_arrays_reject_writes(self, s2s):
+        for arr in (s2s.cost_us, s2s.relay, s2s.stage_bytes):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_inputs_copied_not_frozen(self):
+        relay = np.array([1.0, 0.86, 0.03])
+        spec = spec_from_costs(cm.s2s_costs(), relay, 0.12, 26.2)
+        relay[1] = 0.5  # the caller's array stays writeable and unaliased
+        assert spec.relay[1] == 0.86
+
+    def test_with_rate_scale_and_with_offered(self, s2s):
+        half = s2s.with_rate_scale(0.5)
+        assert half.offered_mbps == pytest.approx(13.1)
+        assert half.output_bytes_per_record == pytest.approx(0.24)
+        assert half.relay is s2s.relay
+        moved = s2s.with_offered(10.0)
+        assert moved.offered_mbps == 10.0 and s2s.offered_mbps == 26.2
+        assert moved.traffic_mbps(10.0, np.zeros(3)) == pytest.approx(10.0, rel=1e-6)
+
+
 class TestSpecMath:
     def test_records_per_sec(self, s2s):
         # 26.2 Mbps of 86-byte records = ~38,081 records/s (paper §II-B).

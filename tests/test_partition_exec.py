@@ -7,9 +7,6 @@
 This is the paper's accuracy claim versus data synopses (§VI-D): query
 partitioning reduces network traffic *without* touching the result.
 """
-import time
-import uuid
-
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
@@ -18,6 +15,7 @@ from repro.core.partition_exec import drained_bytes, run_partitioned
 from repro.core.pipeline import Pipeline
 from repro.oracle import assert_equivalent
 from repro.workloads.queries import log_query, s2s_query, t2t_query
+from tests.spark_jobs import count_jobs
 
 
 @pytest.fixture(scope="module")
@@ -212,28 +210,6 @@ def branch_counts(df, pipeline, p, seed):
     gr = pipeline.terminal_group_reduce
     partial_rows = gr.partial(local).count() if gr is not None else 0
     return tuple(reached), tuple(drained), partial_rows
-
-
-def count_jobs(spark, fn):
-    """Run ``fn`` in a fresh job group; return (its result, Spark jobs run)."""
-    sc = spark.sparkContext
-    group = f"test-{uuid.uuid4().hex}"
-    sc.setJobGroup(group, group)
-    try:
-        out = fn()
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-    tracker = sc.statusTracker()
-    # The status store is fed by an asynchronous listener: re-read until
-    # two reads agree.
-    prev = None
-    for _ in range(200):
-        n = len(tracker.getJobIdsForGroup(group))
-        if n == prev:
-            return out, n
-        prev = n
-        time.sleep(0.05)
-    raise RuntimeError(f"job count of group {group} never settled")
 
 
 def _load_factors(kind, n_ops, seed):
